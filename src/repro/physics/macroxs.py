@@ -316,11 +316,9 @@ class XSCalculator:
         order), applied **in place** to the ``(n_nuc, N)`` micro matrices.
 
         The two nuclide sets are disjoint, so the split loops touch
-        different rows and commute with the old interleaved form.  Shared by
-        the NumPy banked path and the compiled-kernel path
-        (:mod:`repro.transport.jit`), which brackets it between its gather
-        and accumulate kernels — corrections have one implementation, so
-        the two paths cannot drift.
+        different rows and commute with the old interleaved form.  Kept
+        a separate method from :meth:`banked` so the corrections' cost can
+        be timed on its own.
         """
         if self.use_sab:
             for k, sab, cutoff in plan.sab_entries:

@@ -1,7 +1,7 @@
 """Persistent multiprocessing workers that amortize library construction.
 
-Each worker is a long-lived process with a private task queue and a shared
-result queue.  On its first job for a given library fingerprint it builds
+Each worker is a long-lived process with a private task queue and a private
+result pipe.  On its first job for a given library fingerprint it builds
 the library — or loads it from the shared on-disk
 :class:`~repro.serve.cache.LibraryCache` — and keeps it in memory, so
 every subsequent compatible job pays only transport time.  This is the
@@ -16,6 +16,12 @@ the service requeues the job under its
 deterministic in its spec alone, a rerun after a crash is bit-identical to
 an undisturbed run — the same invariant checkpoint/restart guarantees
 within a single simulation.
+
+Results travel over one one-way pipe per worker incarnation, never a
+queue shared by all workers: a shared ``mp.Queue`` serializes writers
+through a cross-process lock that a worker killed mid-``put`` would leave
+held, wedging every other worker's next message.  A pipe has one writer
+and no lock, and a worker's death simply closes it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import os
 import queue as stdlib_queue
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from time import perf_counter
 
 from ..errors import ServeError
@@ -54,26 +61,27 @@ def _resolve_context(start_method: str | None) -> mp.context.BaseContext:
 def _worker_main(
     worker_id: int,
     task_q: "mp.Queue",
-    result_q: "mp.Queue",
+    result_conn: Connection,
     cache_dir: str | None,
     heartbeat_s: float,
 ) -> None:
     """Worker loop: build-or-load library once per fingerprint, serve jobs."""
     libraries: dict = {}
     cache = LibraryCache(cache_dir) if cache_dir else None
-    result_q.put(("ready", worker_id, os.getpid()))
+    send = result_conn.send
+    send(("ready", worker_id, os.getpid()))
     while True:
         try:
             msg = task_q.get(timeout=heartbeat_s)
         except stdlib_queue.Empty:
-            result_q.put(("heartbeat", worker_id))
+            send(("heartbeat", worker_id))
             continue
         if msg is None:
-            result_q.put(("stopped", worker_id))
+            send(("stopped", worker_id))
             return
         spec_dict, attempt = msg
         spec = JobSpec.from_dict(spec_dict)
-        result_q.put(("started", worker_id, spec.job_id))
+        send(("started", worker_id, spec.job_id))
         if attempt <= spec.fault_crash_attempts:
             # Injected mid-job crash: die without flushing anything, the
             # worst case short of corrupting state (which os._exit cannot).
@@ -107,7 +115,7 @@ def _worker_main(
                 # Per-batch progress for streaming observers: timing only
                 # (the PR 5 observer contract), so it cannot perturb
                 # physics no matter what the gateway does with it.
-                result_q.put(
+                send(
                     ("progress", worker_id, _job_id, batch, seconds,
                      n_particles)
                 )
@@ -124,9 +132,9 @@ def _worker_main(
                 library_source=outcome.source,
             )
             job_result.service_seconds = perf_counter() - t0
-            result_q.put(("done", worker_id, spec.job_id, job_result.to_dict()))
+            send(("done", worker_id, spec.job_id, job_result.to_dict()))
         except Exception as exc:  # noqa: BLE001 — worker must never die silently
-            result_q.put(
+            send(
                 (
                     "error",
                     worker_id,
@@ -163,14 +171,15 @@ class PoolEvent:
 
 class _WorkerHandle:
     __slots__ = (
-        "worker_id", "process", "task_q", "incarnation", "state",
-        "current", "dispatched_at", "last_seen", "pid",
+        "worker_id", "process", "task_q", "result_conn", "incarnation",
+        "state", "current", "dispatched_at", "last_seen", "pid",
     )
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.process = None
         self.task_q = None
+        self.result_conn: Connection | None = None
         self.incarnation = 0
         self.state = "new"  # new | starting | idle | busy | stopped
         self.current: QueuedJob | None = None
@@ -205,7 +214,6 @@ class WorkerPool:
         #: poison back to fresh workers.
         self.breaker = breaker or CircuitBreaker()
         self._ctx = _resolve_context(start_method)
-        self._result_q: "mp.Queue" = self._ctx.Queue()
         self._workers: dict[int, _WorkerHandle] = {
             wid: _WorkerHandle(wid) for wid in range(n_workers)
         }
@@ -224,12 +232,13 @@ class WorkerPool:
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.incarnation += 1
         handle.task_q = self._ctx.Queue()
+        handle.result_conn, writer = self._ctx.Pipe(duplex=False)
         handle.process = self._ctx.Process(
             target=_worker_main,
             args=(
                 handle.worker_id,
                 handle.task_q,
-                self._result_q,
+                writer,
                 self.cache_dir,
                 self.heartbeat_s,
             ),
@@ -237,6 +246,9 @@ class WorkerPool:
             name=f"repro-serve-worker-{handle.worker_id}",
         )
         handle.process.start()
+        # Only the worker may hold the write end: its death then reads as
+        # EOF here, and later forks do not inherit it.
+        writer.close()
         handle.pid = handle.process.pid
         handle.state = "starting"
         handle.current = None
@@ -267,8 +279,8 @@ class WorkerPool:
                 proc.join(1.0)
             if handle.task_q is not None:
                 handle.task_q.cancel_join_thread()
+            self._close_channel(handle)
             handle.state = "stopped"
-        self._result_q.cancel_join_thread()
 
     # -- Dispatch ------------------------------------------------------------
 
@@ -301,20 +313,36 @@ class WorkerPool:
         and detect crashed workers; crashed busy workers are respawned and
         their in-flight job returned for requeue."""
         events: list[PoolEvent] = []
-        block = True
+        wait_s = timeout
         while True:
-            try:
-                msg = self._result_q.get(
-                    timeout=timeout if block else 0.0
-                )
-            except stdlib_queue.Empty:
+            channels = {
+                h.result_conn: h
+                for h in self._workers.values()
+                if h.result_conn is not None
+            }
+            ready = wait(list(channels), timeout=wait_s)
+            if not ready:
                 break
-            block = False
-            events_from_msg = self._handle_message(msg)
-            if events_from_msg is not None:
-                events.append(events_from_msg)
+            wait_s = 0.0
+            for conn in ready:
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    # The worker exited, possibly mid-message; its pipe is
+                    # spent and _reap_crashes respawns it.
+                    self._close_channel(channels[conn])
+                    continue
+                event = self._handle_message(msg)
+                if event is not None:
+                    events.append(event)
         events.extend(self._reap_crashes())
         return events
+
+    @staticmethod
+    def _close_channel(handle: _WorkerHandle) -> None:
+        if handle.result_conn is not None:
+            handle.result_conn.close()
+            handle.result_conn = None
 
     def _handle_message(self, msg: tuple) -> PoolEvent | None:
         kind, worker_id = msg[0], msg[1]
@@ -397,6 +425,9 @@ class WorkerPool:
                     events.append(
                         PoolEvent("crash", handle.worker_id, job=lost)
                     )
+            # Messages the dead incarnation sent after the last drain are
+            # dropped with its pipe; its in-flight job is requeued above.
+            self._close_channel(handle)
             self._spawn(handle)
         return events
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng.sampling import sample_index_many as _sample_index_many  # noqa: F401  (compat)
 from ..types import CollisionChannel
 from .context import TransportContext
 from .meshtally import PowerTally
@@ -46,24 +45,11 @@ from .stages import (
     SURVIVAL,
     XS_LOOKUP,
     SigmaTables,
-    group_by_value,
 )
 from .stats import TransportStats
 from .tally import GlobalTallies
 
-__all__ = ["run_generation_event", "EventLoopStats", "SORT_POLICIES"]
-
-#: Backward-compatible alias: the event loop's stats class is now the
-#: schedule-agnostic :class:`repro.transport.stats.TransportStats`.
-EventLoopStats = TransportStats
-
-#: Backward-compatible alias for the material-dispatch primitive, which now
-#: lives with the kernels it dispatches.
-_group_by_value = group_by_value
-
-
-#: Valid values of the event schedule's bank-ordering policy.
-SORT_POLICIES = ("none", "energy")
+__all__ = ["run_generation_event"]
 
 
 def run_generation_event(
@@ -76,38 +62,13 @@ def run_generation_event(
     stats: TransportStats | None = None,
     power: PowerTally | None = None,
     spectrum: SpectrumTally | None = None,
-    *,
-    sort_policy: str = "none",
 ) -> FissionBank:
     """Transport one generation of source particles, event style.
 
     Mirrors :func:`repro.transport.history.run_generation_history` exactly
     (same tallies, same fission bank, same RNG streams); returns the
     next-generation fission bank.
-
-    ``sort_policy`` selects the bank-ordering policy of the lookup/flight
-    super-stage:
-
-    * ``"none"`` — live-index (ascending) order, the PR 3 behaviour;
-    * ``"energy"`` — a stable argsort of the live bank by energy is applied
-      before the XS-lookup stage, so within each material group the
-      union-grid search walks ascending energies and the SoA gathers become
-      near-sequential (the cache-locality argument of the paper's banked
-      kernels).  The flight stage runs in the same order; its gathered
-      outputs are then **unsorted via the inverse permutation** before any
-      tally accumulation or sub-bank formation, so every float sum and
-      every downstream stage sees exactly the live-index ordering.  Because
-      each particle draws only from its private LCG stream and every stage
-      writes per-particle results by absolute bank index, the sorted run is
-      **bit-identical** to the unsorted one — tallies, banks, counters
-      (enforced by ``tests/transport/test_sorted_bank.py``).
     """
-    if sort_policy not in SORT_POLICIES:
-        raise ValueError(
-            f"unknown sort_policy {sort_policy!r}; "
-            f"expected one of {SORT_POLICIES}"
-        )
-    energy_sorted = sort_policy == "energy"
     counters = ctx.counters
     fission_bank = FissionBank()
 
@@ -135,40 +96,18 @@ def run_generation_event(
             break
         alive_idx = live
 
-        # Bank-ordering policy: the lookup/flight super-stage may walk the
-        # bank energy-sorted (near-sequential union-grid gathers); all
-        # per-particle results are scattered back by absolute bank index,
-        # so only the *returned* gathered arrays need unsorting below.
-        if energy_sorted:
-            order = np.argsort(bank.energy[alive_idx], kind="stable")
-            lookup_idx = alive_idx[order]
-        else:
-            order = None
-            lookup_idx = alive_idx
-
         # ---- Stage 1: banked cross-section lookups.
-        XS_LOOKUP.banked(ctx, bank, lookup_idx, sig)
+        XS_LOOKUP.banked(ctx, bank, alive_idx, sig)
         if stats is not None and ctx.union is not None:
             # Gather-locality probe: the union intervals in the order the
             # lookup stage just walked them (diagnostics only — no RNG, no
             # counters — so recording cannot perturb the physics).
             stats.record_gather_indices(
-                ctx.union.search_many(bank.energy[lookup_idx])
+                ctx.union.search_many(bank.energy[alive_idx])
             )
 
         # ---- Stage 2: sample collision distances; ray-trace; advance.
-        pos, dirs, w, d, crossing = FLIGHT.banked(ctx, bank, lookup_idx, sig)
-        if order is not None:
-            # Inverse permutation: restore live-index order before any
-            # accumulation, so float sums (and sub-bank formation) are
-            # bit-identical to the unsorted schedule.
-            inv = np.empty_like(order)
-            inv[order] = np.arange(order.size)
-            pos = pos[inv]
-            dirs = dirs[inv]
-            w = w[inv]
-            d = d[inv]
-            crossing = crossing[inv]
+        pos, dirs, w, d, crossing = FLIGHT.banked(ctx, bank, alive_idx, sig)
         tallies.score_track_many(w, d, sig.nu_fission[alive_idx])
         if power is not None:
             power.score_track_many(

@@ -56,10 +56,8 @@ class Settings:
     ``mode`` selects the transport backend by registry name
     (:func:`repro.transport.backends.available_backends`): ``"history"``
     (scalar, OpenMC-style), ``"event"`` (banked, vectorized),
-    ``"delta"`` (Woodcock delta tracking against a majorant cross
-    section), or ``"numba-event"`` (the event schedule with the
-    compiled-kernel XS tier and an energy-sorted bank; runs the NumPy
-    fallback, bit-identically, when numba is not installed).
+    or ``"delta"`` (Woodcock delta tracking against a majorant cross
+    section).
     """
 
     n_particles: int = 1000

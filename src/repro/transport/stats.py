@@ -8,9 +8,6 @@ schedules execute the same physics work in a different order, so the
 and crossings), while the row structure exposes each schedule's shape:
 event rows shrink as the generation drains (the lane-utilization story),
 history rows show the per-history divergence that banking has to absorb.
-
-``EventLoopStats`` remains as a backward-compatible alias in
-:mod:`repro.transport.events`.
 """
 
 from __future__ import annotations
@@ -40,9 +37,8 @@ class TransportStats:
         #: Gather-locality accumulators: sum of |stride| between consecutive
         #: union-grid gather indices, and the number of strides observed.
         #: Recorded by the event schedule in the order the XS-lookup stage
-        #: actually walks the bank, so the energy-sorted bank policy is
-        #: directly observable (mean stride collapses toward ~0-1) instead
-        #: of inferred from wall time.
+        #: actually walks the bank, so gather locality is observed directly
+        #: instead of inferred from wall time.
         self._gather_stride_sum = 0
         self._gather_stride_n = 0
 
@@ -54,8 +50,8 @@ class TransportStats:
         """Accumulate the stride profile of one union-grid gather stream.
 
         ``indices`` are the grid intervals a lookup dispatch gathers from,
-        in dispatch order.  A fully energy-sorted bank yields near-zero
-        strides (sequential walks of the grid); an unsorted bank yields
+        in dispatch order.  An energy-sorted stream yields near-zero
+        strides (sequential walks of the grid); an unsorted one yields
         strides on the order of the grid size.
         """
         indices = np.asarray(indices)

@@ -1,5 +1,8 @@
 """WorkerPool mechanics: lifecycle, health/heartbeat, crash respawn."""
 
+import os
+import signal
+import sys
 import time
 
 import pytest
@@ -28,6 +31,16 @@ def wait_for(predicate, timeout_s=30.0, poll_s=0.05):
         if predicate():
             return True
         time.sleep(poll_s)
+    return False
+
+
+def blocked_writing_a_pipe(pid):
+    """True when some thread of ``pid`` sleeps inside a pipe write."""
+    task_dir = f"/proc/{pid}/task"
+    for tid in os.listdir(task_dir):
+        with open(f"{task_dir}/{tid}/wchan") as fh:
+            if "pipe_write" in fh.read():
+                return True
     return False
 
 
@@ -138,5 +151,33 @@ class TestCrashRecovery:
             )
             done = next(e for e in events if e.kind == "done")
             assert done.result.attempts == 2
+        finally:
+            pool.stop()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc wchan"
+    )
+    def test_worker_killed_inside_a_blocked_put_cannot_wedge_the_pool(self):
+        # Left unpolled, a fast-heartbeating worker fills its result pipe
+        # and blocks inside a put.  Killing it there is the moment a
+        # cross-process write lock on the result channel would be orphaned
+        # and the respawned worker's first message would hang forever.
+        pool = WorkerPool(1, heartbeat_s=1.0e-4)
+        pool.start()
+        try:
+            victim = pool.health()[0]["pid"]
+            assert wait_for(lambda: blocked_writing_a_pipe(victim))
+            os.kill(victim, signal.SIGKILL)
+            events = []
+            assert wait_for(
+                lambda: events.extend(pool.poll(timeout=0.2)) or
+                any(e.kind == "crash" for e in events)
+            )
+            assert pool.health()[0]["incarnation"] == 2
+            pool.dispatch(0, queued("after-kill"))
+            assert wait_for(
+                lambda: events.extend(pool.poll(timeout=0.2)) or
+                any(e.kind == "done" for e in events)
+            )
         finally:
             pool.stop()

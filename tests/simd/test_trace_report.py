@@ -87,34 +87,6 @@ def test_gather_metric_present_on_event_trace(traces):
     assert report["gather"]["mean_stride"] >= 0.0
 
 
-def test_energy_sorting_shrinks_gather_stride(small_library):
-    """The point of the energy-sorted bank: consecutive union-grid gathers
-    become near-sequential, so the mean index stride collapses versus the
-    unsorted schedule's random walk across the grid."""
-    union = UnionizedGrid(small_library)
-    strides = {}
-    for policy in ("none", "energy"):
-        ctx = TransportContext.create(
-            small_library, pincell=True, union=union, master_seed=7
-        )
-        rng = np.random.default_rng(5)
-        n = 80
-        pos = np.column_stack(
-            [rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
-             rng.uniform(-150, 150, n)]
-        )
-        stats = TransportStats()
-        backend = get_backend("event")
-        backend.sort_policy = policy
-        backend.run_generation(
-            ctx, pos, np.ones(n), GlobalTallies(), 1.0, 0, stats=stats
-        )
-        strides[policy] = lane_utilization_report(stats)["gather"][
-            "mean_stride"
-        ]
-    assert strides["energy"] < strides["none"] / 10
-
-
 def test_record_gather_indices_degenerate():
     """Streams shorter than two indices contribute no strides."""
     stats = TransportStats()

@@ -48,40 +48,6 @@ def test_relative_import_resolution():
     assert mods == ["repro.transport", "repro.transport.stats"]
 
 
-def test_jit_rule_flags_upward_import(tmp_path):
-    """Rule 7: a transport/jit module importing a driving layer is a
-    violation, detected by the same package checker as the stages rule."""
-    pkg = tmp_path / "jit"
-    pkg.mkdir()
-    (pkg / "bad.py").write_text(
-        "from ...simd.analysis import lane_utilization_report\n"
-    )
-    errors = check_layering._check_package(
-        pkg, "repro.transport.jit", check_layering.UPWARD_LAYERS,
-        "kernel layer imports upward layer",
-    )
-    assert len(errors) == 1
-    assert "repro.simd.analysis" in errors[0]
-
-
-def test_jit_package_is_kernel_layer():
-    """The real transport/jit package imports nothing upward — and its
-    runtime imports stay within physics/data/rng/types/transport."""
-    allowed_prefixes = (
-        "repro.transport", "repro.physics", "repro.data", "repro.rng",
-        "repro.types", "repro.errors", "repro.work",
-    )
-    for path in sorted(check_layering.JIT_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for _, mod in check_layering.runtime_imports(
-            tree, "repro.transport.jit"
-        ):
-            if mod.startswith("repro."):
-                assert mod.startswith(allowed_prefixes), (
-                    f"{path.name} imports {mod}"
-                )
-
-
 def test_supervise_rule_flags_transport_import(tmp_path):
     """A supervise module importing transport internals is a violation."""
     pkg = tmp_path / "supervise"

@@ -58,6 +58,12 @@ class TestRegistry:
         with pytest.raises(ExecutionError, match="event.*history"):
             get_backend("event-sorted")
 
+    def test_retired_numba_event_rejected(self):
+        assert available_backends() == ("delta", "event", "history")
+        with pytest.raises(ExecutionError) as err:
+            get_backend("numba-event")
+        assert str(err.value).endswith("available: delta, event, history")
+
     def test_fresh_instance_per_call(self):
         assert get_backend("delta") is not get_backend("delta")
 

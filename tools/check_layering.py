@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Import-cycle lint for the stage-kernel layering contract.
 
-Two rules, enforced over the AST (``TYPE_CHECKING``-guarded imports are
+Seven rules, enforced over the AST (``TYPE_CHECKING``-guarded imports are
 annotation-only and exempt):
 
 1. **The kernel layer imports nothing above it.**  ``transport/stages.py``
@@ -41,14 +41,7 @@ annotation-only and exempt):
    surface — never transport, execution, cluster, simd, or machine
    internals, which it must reach exclusively through ``repro.serve``.
 
-7. **The compiled-kernel tier sits beside the stages.**  Every module of
-   ``transport/jit/`` is kernel-layer code like ``stages.py`` — physics,
-   data, RNG, and transport siblings only, never the driving layers.  The
-   jit tier is swapped in *by* backends; an upward import from it would
-   couple the compiled kernels to a scheduler and re-create the cycle
-   rule 1 exists to prevent.
-
-8. **Chaos is a roof beside the CLI.**  ``repro.chaos`` kills and
+7. **Chaos is a roof beside the CLI.**  ``repro.chaos`` kills and
    restarts the tiers below it (gateway, serve, scenarios, resilience,
    supervise) — so it, uniquely, may import the gateway and scenario
    roofs, but only the CLI may import *it*, and like the gateway it
@@ -86,10 +79,6 @@ STAGE_FILES = {
     SRC / "repro" / "transport" / "stages.py": "repro.transport",
 }
 
-#: Rule 7: the compiled-kernel tier is kernel-layer code — same upward
-#: import ban as the stages, applied to every module in the package.
-JIT_DIR = SRC / "repro" / "transport" / "jit"
-
 EXECUTION_MODEL_FILES = {
     SRC / "repro" / "execution" / name: "repro.execution"
     for name in (
@@ -114,7 +103,7 @@ SUPERVISE_FORBIDDEN = (
 RESILIENCE_DIR = SRC / "repro" / "resilience"
 RESILIENCE_FORBIDDEN = ("repro.execution",)
 
-#: The chaos harness (rule 8) is a roof beside the CLI: it may import
+#: The chaos harness (rule 7) is a roof beside the CLI: it may import
 #: the other roofs (it kills and recovers them), only the CLI may
 #: import it, and it never touches the physics/hardware layers.
 CHAOS_DIR = SRC / "repro" / "chaos"
@@ -128,7 +117,7 @@ CHAOS_FORBIDDEN = (
 )
 
 #: The scenario layer is a roof, not a floor: only the CLI (and the
-#: chaos harness, rule 8) imports it.
+#: chaos harness, rule 7) imports it.
 SCENARIOS_DIR = SRC / "repro" / "scenarios"
 SCENARIOS_IMPORTERS = (
     SRC / "repro" / "cli.py",
@@ -225,10 +214,6 @@ def check() -> list[str]:
                     f"ExecutionContext)"
                 )
     errors.extend(_check_package(
-        JIT_DIR, "repro.transport.jit", UPWARD_LAYERS,
-        "kernel layer imports upward layer",
-    ))
-    errors.extend(_check_package(
         SUPERVISE_DIR, "repro.supervise", SUPERVISE_FORBIDDEN,
         "supervision layer imports supervised layer",
     ))
@@ -320,7 +305,7 @@ def _check_package(
 def main() -> int:
     missing = [
         p for p in (*STAGE_FILES, *EXECUTION_MODEL_FILES,
-                    JIT_DIR, SUPERVISE_DIR, RESILIENCE_DIR, SCENARIOS_DIR,
+                    SUPERVISE_DIR, RESILIENCE_DIR, SCENARIOS_DIR,
                     GATEWAY_DIR, CHAOS_DIR)
         if not p.exists()
     ]
